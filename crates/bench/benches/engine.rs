@@ -48,28 +48,27 @@ fn bench_pipeline_warm(c: &mut Criterion) {
     });
 }
 
-/// The profiling sweep (one simulation per TLP level) serial vs
-/// parallel, fresh engine each iteration so every run is cold.
-fn bench_profile_serial_vs_parallel(c: &mut Criterion) {
+/// The bound-and-prune profiling sweep (serial, at most one
+/// simulation per TLP level), fresh engine each iteration so every run
+/// is cold.
+fn bench_profile_sweep(c: &mut Criterion) {
     let app = suite::spec("KMN");
     let kernel = build_kernel(app);
     let gpu = GpuConfig::fermi();
     let launch = launch_sized(app, 30);
-    for threads in [1usize, 4] {
-        c.bench_function(&format!("profile_tlp_kmn_{threads}threads"), |b| {
-            b.iter_batched(
-                || EvalEngine::new(threads),
-                |e| profile_opt_tlp_with(&e, black_box(&kernel), &gpu, &launch, 21).unwrap(),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    c.bench_function("profile_tlp_kmn", |b| {
+        b.iter_batched(
+            EvalEngine::serial,
+            |e| profile_opt_tlp_with(&e, black_box(&kernel), &gpu, &launch, 21).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 criterion_group!(
     benches,
     bench_pipeline_cold,
     bench_pipeline_warm,
-    bench_profile_serial_vs_parallel
+    bench_profile_sweep
 );
 criterion_main!(benches);

@@ -11,10 +11,17 @@ fn main() {
         let u = analyze(&kernel, &gpu, &launch);
         let alloc = allocate(&kernel, &AllocOptions::new(u.default_reg.max(12))).unwrap();
         let p = profile_opt_tlp(&alloc.kernel, &gpu, &launch, alloc.slots_used).unwrap();
-        let curve: Vec<String> = p
-            .runs
-            .iter()
-            .map(|(t, s)| format!("{t}:{}", s.cycles / 1000))
+        // The profile prunes levels that cannot win; the curve needs
+        // every level run to completion.
+        let engine = engine::global();
+        let max = p.runs.iter().map(|(t, _)| *t).max().unwrap();
+        let curve: Vec<String> = (1..=max)
+            .map(|t| {
+                let s = engine
+                    .simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(t))
+                    .unwrap();
+                format!("{t}:{}", s.cycles / 1000)
+            })
             .collect();
         println!("{:5} maxreg={:2} default={:2} spill_mem={:3} weighted={:4} opt_tlp={} curve(kcyc)=[{}]",
             app.abbr, u.max_reg, u.default_reg,

@@ -21,7 +21,8 @@ fn main() {
 
     let mut t = Table::new(&[
         "app",
-        "profiling runs",
+        "levels run",
+        "levels pruned",
         "profiling ms",
         "static ms",
         "exploration ms",
@@ -72,6 +73,7 @@ fn main() {
         t.row(vec![
             app.abbr.into(),
             profile.runs.len().to_string(),
+            profile.pruned.len().to_string(),
             f2(profiling_ms),
             f2(static_ms),
             f2(explore_ms),
@@ -80,6 +82,7 @@ fn main() {
     let n = apps.len() as f64;
     t.row(vec![
         "AVG".into(),
+        String::new(),
         String::new(),
         f2(p_sum / n),
         f2(s_sum / n),

@@ -203,6 +203,7 @@ pub fn print_engine_stats(csv: bool) {
         println!("vector_fraction,{:.4}", stats.vector_fraction());
         println!("panics_caught,{}", stats.panics_caught);
         println!("budget_exceeded,{}", stats.budget_exceeded);
+        println!("sims_pruned,{}", stats.sims_pruned);
         println!("alloc_ctx_builds,{}", stats.alloc_ctx_builds);
         println!("alloc_ctx_hits,{}", stats.alloc_ctx_hits);
         println!("allocs_run,{}", stats.allocs_run);
@@ -224,7 +225,7 @@ pub fn print_engine_stats(csv: bool) {
         }
     } else {
         println!(
-            "# engine: {} threads, {} sims, {} cache hits ({:.0}%), {} decodes, {:.2}s simulating ({:.2}M instr/s, {:.0}% vector), {} allocs off {} shared ctx ({} ctx hits), {} panics caught, {} budgets exceeded",
+            "# engine: {} threads, {} sims, {} cache hits ({:.0}%), {} decodes, {:.2}s simulating ({:.2}M instr/s, {:.0}% vector), {} allocs off {} shared ctx ({} ctx hits), {} panics caught, {} budgets exceeded, {} sweep levels pruned",
             e.threads(),
             stats.sims_executed,
             stats.cache_hits,
@@ -238,6 +239,7 @@ pub fn print_engine_stats(csv: bool) {
             stats.alloc_ctx_hits,
             stats.panics_caught,
             stats.budget_exceeded,
+            stats.sims_pruned,
         );
         let sweep: Vec<String> = crat_core::AllocStrategy::ALL
             .iter()

@@ -554,6 +554,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
         if s.budget_exceeded > 0 {
             line.push_str(&format!(", {} budgets exceeded", s.budget_exceeded));
         }
+        if s.sims_pruned > 0 {
+            line.push_str(&format!(", {} sweep levels pruned", s.sims_pruned));
+        }
         line
     }
 

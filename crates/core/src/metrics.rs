@@ -576,6 +576,7 @@ pub fn engine_to_json(stats: &EngineStats) -> Json {
             "budget_exceeded".to_string(),
             Json::Int(stats.budget_exceeded),
         ),
+        ("sims_pruned".to_string(), Json::Int(stats.sims_pruned)),
         (
             "alloc_ctx_builds".to_string(),
             Json::Int(stats.alloc_ctx_builds),
@@ -734,6 +735,7 @@ mod tests {
             sim_superblocks: 90,
             panics_caught: 1,
             budget_exceeded: 2,
+            sims_pruned: 8,
             alloc_ctx_builds: 4,
             alloc_ctx_hits: 9,
             allocs_run: 13,
@@ -756,6 +758,7 @@ mod tests {
         assert_eq!(json.get("sim_superblocks"), Some(&Json::Int(90)));
         assert_eq!(json.get("panics_caught"), Some(&Json::Int(1)));
         assert_eq!(json.get("budget_exceeded"), Some(&Json::Int(2)));
+        assert_eq!(json.get("sims_pruned"), Some(&Json::Int(8)));
         assert_eq!(json.get("alloc_ctx_builds"), Some(&Json::Int(4)));
         assert_eq!(json.get("alloc_ctx_hits"), Some(&Json::Int(9)));
         assert_eq!(json.get("allocs_run"), Some(&Json::Int(13)));

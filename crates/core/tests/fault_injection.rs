@@ -299,13 +299,15 @@ fn engine_survives_injected_worker_panics() {
             let kernel = build_kernel(app);
             let gpu = GpuConfig::fermi();
             let launch = launch_sized(app, 30);
-            let jobs: Vec<SimJob<'_>> = (1..=4)
-                .map(|tlp| SimJob {
+            // Four distinct operating points: at this grid, caps above
+            // the resident-block limit would share one memo entry.
+            let jobs: Vec<SimJob<'_>> = (16..20)
+                .map(|regs| SimJob {
                     kernel: &kernel,
                     gpu: &gpu,
                     launch: &launch,
-                    regs_per_thread: 16,
-                    tlp_cap: Some(tlp),
+                    regs_per_thread: regs,
+                    tlp_cap: None,
                 })
                 .collect();
             let n_panics = 1 + seed % 3;

@@ -22,8 +22,9 @@ use crat_core::{EvalEngine, ResultStore, StoreConfig};
 use crat_sim::{fault::FaultPlan, GpuConfig, LaunchConfig};
 use crat_workloads::{build_kernel, launch_sized, suite};
 
-/// Serializes tests that arm the store's process-global write-fault
-/// hook.
+/// Serializes every test that writes a store: the write-fault hook is
+/// process-global, so an armed fault would otherwise be consumed by
+/// whichever concurrent test writes first.
 static STORE_FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn store_fault_guard() -> MutexGuard<'static, ()> {
@@ -104,6 +105,7 @@ fn quarantine_count(dir: &Path) -> usize {
 /// rewritten so a third restart hits cleanly.
 #[test]
 fn mutated_records_are_quarantined_and_recomputed() {
+    let _guard = store_fault_guard();
     for seed in 0..36u64 {
         scenario(seed, || {
             let mut plan = FaultPlan::new(seed);
@@ -164,6 +166,7 @@ fn mutated_records_are_quarantined_and_recomputed() {
 /// recomputed.
 #[test]
 fn garbage_files_are_quarantined_not_served() {
+    let _guard = store_fault_guard();
     for (seed, garbage) in [(100u64, Vec::new()), (101, b"not a record at all".to_vec())] {
         scenario(seed, || {
             let app = app_for_seed(seed);
@@ -216,9 +219,10 @@ fn write_failures_degrade_without_losing_results() {
             );
 
             // With the hook disarmed, the next uncached point persists
-            // normally.
+            // normally. (Another register count: at 12 blocks no cap
+            // binds, so every cap is the same operating point.)
             let _ = engine
-                .simulate(&kernel, &gpu, &launch, 20, Some(3))
+                .simulate(&kernel, &gpu, &launch, 21, Some(2))
                 .unwrap();
             assert_eq!(engine.stats().store_writes, 1, "seed {seed}");
             assert_eq!(record_files(&dir).len(), 1, "seed {seed}");
@@ -232,6 +236,7 @@ fn write_failures_degrade_without_losing_results() {
 /// still enforced.
 #[test]
 fn stale_lock_does_not_block_eviction() {
+    let _guard = store_fault_guard();
     scenario(300, || {
         let dir = temp_dir("stale-lock", 300);
 
@@ -260,8 +265,10 @@ fn stale_lock_does_not_block_eviction() {
         let a = engine
             .simulate(&kernel, &gpu, &launch, 20, Some(2))
             .unwrap();
+        // A second operating point (no cap binds at 12 blocks, so it
+        // differs in register count).
         let b = engine
-            .simulate(&kernel, &gpu, &launch, 20, Some(3))
+            .simulate(&kernel, &gpu, &launch, 21, Some(2))
             .unwrap();
         assert_ne!(a.cycles, 0);
         assert_ne!(b.cycles, 0);
@@ -277,6 +284,7 @@ fn stale_lock_does_not_block_eviction() {
 /// may temporarily exceed its budget rather than block or fail.
 #[test]
 fn held_lock_skips_the_sweep_but_never_blocks_io() {
+    let _guard = store_fault_guard();
     scenario(301, || {
         let dir = temp_dir("held-lock", 301);
         fs::create_dir_all(&dir).unwrap();

@@ -26,6 +26,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test -q
 
+# Engine tier: crat-core units, determinism, memo properties; the sweep equivalence check runs in release (24 apps, exhaustive oracle).
+echo "== engine tier (core units + determinism + sweep equivalence)"
+cargo test -q -p crat-core --lib --test engine_determinism --test proptest_engine
+cargo test -q --release -p crat-core --test profile_equivalence
+
 # Fault-injection smoke tier: 200+ deterministic seeded scenarios
 # (mutated PTX, adversarial launches, starved allocator budgets,
 # injected worker panics, expired budgets). Fixed seeds, bounded
