@@ -11,7 +11,7 @@ use crat_bench::{
     table::{f2, Table},
 };
 use crat_core::engine::simulate;
-use crat_core::{optimize, CratOptions, OptTlpSource, Technique};
+use crat_core::{optimize, optimize_oracle, CratOptions, CratSolution, Technique};
 use crat_sim::{GpuConfig, SchedulerKind};
 use crat_workloads::{build_kernel, launch_sized, suite};
 
@@ -39,8 +39,8 @@ fn main() {
     }
     t.print(csv);
 
-    // 2 + 4. Pruning safety and TPSC quality: simulate every candidate
-    // of the pruned set and compare the TPSC pick with the oracle.
+    // 2 + 4. Pruning safety and TPSC quality: compare the TPSC pick
+    // with the simulation oracle over the pruned candidate set.
     println!("\n2) TPSC pick vs simulation oracle over candidates:\n");
     let mut t = Table::new(&[
         "app",
@@ -53,27 +53,25 @@ fn main() {
         let app = suite::spec(abbr);
         let kernel = build_kernel(app);
         let launch = launch_sized(app, app.grid_blocks);
-        let sol = optimize(&kernel, &gpu, &launch, &CratOptions::new()).unwrap();
-        let mut best: Option<(usize, u64)> = None;
-        let mut cycles = Vec::new();
-        for (i, c) in sol.candidates.iter().enumerate() {
-            let s = simulate(
+        let opts = CratOptions::new();
+        let sol = optimize(&kernel, &gpu, &launch, &opts).unwrap();
+        let oracle = optimize_oracle(&kernel, &gpu, &launch, &opts).unwrap();
+        // Both picks were simulated by the oracle: memo hits.
+        let cycles = |s: &CratSolution| {
+            let c = &s.candidates[s.chosen];
+            simulate(
                 &c.allocation.kernel,
                 &gpu,
                 &launch,
                 c.allocation.slots_used,
                 Some(c.achieved_tlp),
             )
-            .unwrap();
-            cycles.push(s.cycles);
-            if best.is_none_or(|(_, b)| s.cycles < b) {
-                best = Some((i, s.cycles));
-            }
-        }
-        let (oracle, oracle_cycles) = best.expect("at least one candidate");
-        let tpsc_cycles = cycles[sol.chosen];
+            .unwrap()
+            .cycles
+        };
+        let (tpsc_cycles, oracle_cycles) = (cycles(&sol), cycles(&oracle));
         let wc = sol.candidates[sol.chosen].point;
-        let oc = sol.candidates[oracle].point;
+        let oc = oracle.candidates[oracle.chosen].point;
         t.row(vec![
             abbr.into(),
             sol.candidates.len().to_string(),
@@ -101,7 +99,4 @@ fn main() {
         ]);
     }
     t.print(csv);
-
-    // Keep OptTlpSource referenced for readers exploring the API.
-    let _ = OptTlpSource::Profiled;
 }

@@ -182,87 +182,16 @@ pub fn engine() -> &'static EvalEngine {
     }
 }
 
-/// Print the engine's counters after an experiment: a `# engine:`
-/// comment in text mode, or an `engine_stat,value` block in CSV mode.
+/// Print the engine's counters after an experiment: the one-line
+/// report as a `# engine:` comment in text mode, or the
+/// `engine_stat,value` block in CSV mode.
 pub fn print_engine_stats(csv: bool) {
     let e = engine();
     let stats = e.stats();
     if csv {
-        println!("engine_stat,value");
-        println!("threads,{}", e.threads());
-        println!("sims_executed,{}", stats.sims_executed);
-        println!("cache_hits,{}", stats.cache_hits);
-        println!("sim_seconds,{:.3}", stats.sim_time().as_secs_f64());
-        println!("kernels_decoded,{}", stats.decodes);
-        println!("sim_cycles,{}", stats.sim_cycles);
-        println!("sim_insts,{}", stats.sim_insts);
-        println!("sim_insts_per_sec,{:.0}", stats.sim_insts_per_sec());
-        println!("sim_vector_insts,{}", stats.sim_vector_insts);
-        println!("sim_scalar_insts,{}", stats.sim_scalar_insts);
-        println!("sim_superblocks,{}", stats.sim_superblocks);
-        println!("vector_fraction,{:.4}", stats.vector_fraction());
-        println!("panics_caught,{}", stats.panics_caught);
-        println!("budget_exceeded,{}", stats.budget_exceeded);
-        println!("sims_pruned,{}", stats.sims_pruned);
-        println!("alloc_ctx_builds,{}", stats.alloc_ctx_builds);
-        println!("alloc_ctx_hits,{}", stats.alloc_ctx_hits);
-        println!("allocs_run,{}", stats.allocs_run);
-        println!("shm_warp_interleaved,{}", stats.shm_warp_interleaved);
-        println!("shm_per_thread,{}", stats.shm_per_thread);
-        println!("store_hits,{}", stats.store_hits);
-        println!("store_misses,{}", stats.store_misses);
-        println!("store_writes,{}", stats.store_writes);
-        println!("store_evictions,{}", stats.store_evictions);
-        println!("store_quarantined,{}", stats.store_quarantined);
-        println!("store_write_errors,{}", stats.store_write_errors);
-        for kind in crat_core::AllocStrategy::ALL {
-            let s = stats.strategies[kind.index()];
-            let key = kind.json_key();
-            println!("strategy_{key}_attempts,{}", s.attempts);
-            println!("strategy_{key}_wins,{}", s.wins);
-            println!("strategy_{key}_spill_bytes,{}", s.spill_bytes);
-            println!("strategy_{key}_ctx_reuse,{}", s.ctx_reuse);
-        }
+        print!("{}", crat_core::engine_csv(&stats, e.threads()));
     } else {
-        println!(
-            "# engine: {} threads, {} sims, {} cache hits ({:.0}%), {} decodes, {:.2}s simulating ({:.2}M instr/s, {:.0}% vector), {} allocs off {} shared ctx ({} ctx hits), {} panics caught, {} budgets exceeded, {} sweep levels pruned",
-            e.threads(),
-            stats.sims_executed,
-            stats.cache_hits,
-            stats.hit_rate() * 100.0,
-            stats.decodes,
-            stats.sim_time().as_secs_f64(),
-            stats.sim_insts_per_sec() / 1e6,
-            stats.vector_fraction() * 100.0,
-            stats.allocs_run,
-            stats.alloc_ctx_builds,
-            stats.alloc_ctx_hits,
-            stats.panics_caught,
-            stats.budget_exceeded,
-            stats.sims_pruned,
-        );
-        let sweep: Vec<String> = crat_core::AllocStrategy::ALL
-            .iter()
-            .filter_map(|k| {
-                let s = stats.strategies[k.index()];
-                (s.attempts > 0).then(|| format!("{} {}/{}", k.label(), s.wins, s.attempts))
-            })
-            .collect();
-        if !sweep.is_empty() {
-            println!("# strategy wins/attempts: {}", sweep.join(" "));
-        }
-        if stats.store_lookups() > 0 || stats.store_writes > 0 {
-            println!(
-                "# store: {} hits ({:.0}%), {} misses, {} writes, {} evictions, {} quarantined, {} write errors",
-                stats.store_hits,
-                stats.store_hit_rate() * 100.0,
-                stats.store_misses,
-                stats.store_writes,
-                stats.store_evictions,
-                stats.store_quarantined,
-                stats.store_write_errors,
-            );
-        }
+        println!("# {}", crat_core::engine_line(&stats, e.threads()));
     }
 }
 

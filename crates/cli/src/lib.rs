@@ -487,79 +487,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
         Ok(())
     }
 
-    /// One-line engine report appended to simulating subcommands. The
-    /// robustness counters only appear when something actually tripped.
-    fn engine_line(engine: &EvalEngine) -> String {
-        let s = engine.stats();
-        let mut line = format!(
-            "engine: {} threads, {} sims, {} cache hits, {} decodes, {:.2}s simulating ({:.2}M instr/s)",
-            engine.threads(),
-            s.sims_executed,
-            s.cache_hits,
-            s.decodes,
-            s.sim_time().as_secs_f64(),
-            s.sim_insts_per_sec() / 1e6
-        );
-        if s.sim_vector_insts + s.sim_scalar_insts > 0 {
-            line.push_str(&format!(
-                ", {:.0}% vector ({} superblocks)",
-                s.vector_fraction() * 100.0,
-                s.sim_superblocks
-            ));
-        }
-        if s.allocs_run > 0 {
-            line.push_str(&format!(
-                ", {} allocs off {} shared ctx ({} ctx hits)",
-                s.allocs_run, s.alloc_ctx_builds, s.alloc_ctx_hits
-            ));
-        }
-        // Per-strategy roster counters, present only when the strategy
-        // sweep actually ran (wins/attempts per competitor).
-        let sweep: Vec<String> = AllocStrategy::ALL
-            .iter()
-            .filter_map(|k| {
-                let st = s.strategies[k.index()];
-                (st.attempts > 0).then(|| format!("{} {}/{}", k.label(), st.wins, st.attempts))
-            })
-            .collect();
-        if !sweep.is_empty() {
-            line.push_str(&format!(", strategy wins/attempts: {}", sweep.join(" ")));
-        }
-        if s.shm_warp_interleaved + s.shm_per_thread > 0 {
-            line.push_str(&format!(
-                ", shm layouts: {} warp-interleaved / {} per-thread",
-                s.shm_warp_interleaved, s.shm_per_thread
-            ));
-        }
-        // Persistent-store counters, present only when a store is in
-        // play (a lookup, write, or failure actually happened).
-        if s.store_lookups() + s.store_writes + s.store_write_errors > 0 {
-            line.push_str(&format!(
-                ", store: {} hits / {} misses, {} writes",
-                s.store_hits, s.store_misses, s.store_writes
-            ));
-            if s.store_evictions > 0 {
-                line.push_str(&format!(", {} evicted", s.store_evictions));
-            }
-            if s.store_quarantined > 0 {
-                line.push_str(&format!(", {} quarantined", s.store_quarantined));
-            }
-            if s.store_write_errors > 0 {
-                line.push_str(&format!(", {} write errors", s.store_write_errors));
-            }
-        }
-        if s.panics_caught > 0 {
-            line.push_str(&format!(", {} panics caught", s.panics_caught));
-        }
-        if s.budget_exceeded > 0 {
-            line.push_str(&format!(", {} budgets exceeded", s.budget_exceeded));
-        }
-        if s.sims_pruned > 0 {
-            line.push_str(&format!(", {} sweep levels pruned", s.sims_pruned));
-        }
-        line
-    }
-
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
         Command::App { abbr, opts } => {
@@ -623,7 +550,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     stats: e.stats,
                 });
             }
-            let _ = writeln!(out, "  {}", engine_line(engine));
+            let line = crat_core::engine_line(&engine.stats(), engine.threads());
+            let _ = writeln!(out, "  {line}");
             emit_metrics(&opts, &points, engine)?;
             Ok(out)
         }
@@ -760,7 +688,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 winner.achieved_tlp,
                 winner.allocation.kernel.num_regs()
             );
-            let _ = writeln!(report, "{}", engine_line(engine));
+            let line = crat_core::engine_line(&engine.stats(), engine.threads());
+            let _ = writeln!(report, "{line}");
             let text = winner.allocation.kernel.to_ptx();
             emit(output.as_deref(), &text)?;
             Ok(if output.is_some() {

@@ -27,10 +27,10 @@
 //!   override degrades a runaway simulation to a deterministic
 //!   [`SimError::CycleLimit`], and a wall-clock deadline cancels it
 //!   cooperatively with [`SimError::DeadlineExceeded`];
-//! * **counts** what it did ([`EngineStats`]): simulations executed,
-//!   cache hits, kernels decoded, simulated cycles and warp
-//!   instructions, wall time spent inside the simulator, panics
-//!   caught, budgets exceeded, and sweep levels pruned;
+//! * **counts** what it did ([`EngineStats`]): each counter is declared
+//!   once, with its doc comment, in the `counters!` invocation below,
+//!   and every report (metrics JSON, `--csv` block, one-line report) is
+//!   derived from the resulting `COUNTERS` table;
 //! * **persists** (optionally): with a [`ResultStore`] attached
 //!   ([`attach_store`](EvalEngine::attach_store), the CLI's
 //!   `--cache-dir`, or `CRAT_CACHE_DIR`), memoizable results are also
@@ -63,13 +63,13 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crat_ptx::{Kernel, Space};
 use crat_regalloc::{AllocContext, StrategyKind};
-use crat_sim::{DecodedKernel, GpuConfig, LaunchConfig, SimError, SimStats};
+use crat_sim::{DecodedKernel, GpuConfig, LaunchConfig, SimError, SimStats, VectorStats};
 
 use crate::store::{RecordKey, ResultStore, StoreConfig};
 use crate::CratError;
@@ -193,10 +193,11 @@ fn kernel_key(kernel: &Kernel) -> SimKey {
 }
 
 /// Lock a mutex, recovering from poisoning. The maps the engine guards
-/// are only mutated by single, non-panicking `HashMap` operations, so
-/// a poisoned lock (a worker panicked elsewhere while the OS preempted
-/// it mid-critical-section) still protects a structurally sound map —
-/// recovering is how the engine stays usable after a caught panic.
+/// are only mutated by single, non-panicking `HashMap` operations, and
+/// its counters by integer adds, so a poisoned lock (a worker panicked
+/// elsewhere while the OS preempted it mid-critical-section) still
+/// protects sound data — recovering is how the engine stays usable
+/// after a caught panic.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -288,96 +289,174 @@ impl EvalBudget {
     }
 }
 
-/// Per-strategy allocation counters, indexed by
-/// [`StrategyKind::index`](crat_regalloc::StrategyKind::index) in
-/// [`EngineStats::strategies`]. These track the design-point roster
-/// sweep only — the default-allocation ladder (OptTLP profiling and
-/// the MaxTlp/OptTlp baselines) does not attribute its allocations to
-/// a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StrategyStats {
-    /// Design points at which this strategy was attempted.
-    pub attempts: u64,
-    /// Design points this strategy's allocation won.
-    pub wins: u64,
-    /// Spill bytes (local per thread + shared per block) summed over
-    /// winning allocations.
-    pub spill_bytes: u64,
-    /// Allocation-context cache hits attributed to this strategy.
-    pub ctx_reuse: u64,
+/// How the sinks render one declared counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Render {
+    /// Always listed in the one-line report.
+    Always,
+    /// Listed in the one-line report only when non-zero.
+    NonZero,
+    /// Wall time: listed in the one-line report only when non-zero,
+    /// and left out of the metrics JSON, which stays byte-stable
+    /// across `--threads`.
+    Timing,
 }
 
-/// A snapshot of the engine's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineStats {
-    /// Simulations actually executed (cache misses).
-    pub sims_executed: u64,
-    /// Requests served from the memo cache, including requests that
-    /// waited for an in-flight simulation of the same key.
-    pub cache_hits: u64,
-    /// Nanoseconds of wall time spent inside the simulator, summed
-    /// over workers (exceeds elapsed time when running in parallel).
-    pub sim_nanos: u64,
-    /// Kernels lowered to decoded form (decoded-cache misses).
-    pub decodes: u64,
-    /// Cycles simulated, summed over executed simulations.
-    pub sim_cycles: u64,
-    /// Warp instructions executed, summed over executed simulations.
-    pub sim_insts: u64,
-    /// Warp instructions issued through the whole-row vector kernels,
-    /// summed over executed simulations (see
-    /// [`VectorStats`](crat_sim::VectorStats)).
-    pub sim_vector_insts: u64,
-    /// Warp instructions that took the scalar per-lane fallback (SFU
-    /// transcendentals / div / rem, gather-scatter memory), summed
-    /// over executed simulations.
-    pub sim_scalar_insts: u64,
-    /// Superblocks dispatched (maximal same-class decoded runs,
-    /// counted at their head), summed over executed simulations.
-    pub sim_superblocks: u64,
-    /// Worker panics caught and converted to [`CratError::Internal`].
-    pub panics_caught: u64,
-    /// Jobs stopped by an [`EvalBudget`] limit (cycle override hit or
-    /// deadline expired). Pruning bounds do not count here.
-    pub budget_exceeded: u64,
-    /// Simulations stopped at a bound-and-prune bound
-    /// ([`EvalBudget::prune_above`]): sweep levels that could no longer
-    /// win. A subset of `sims_executed`; replays from the memo cache or
-    /// the store do not count.
-    pub sims_pruned: u64,
-    /// Shared allocation contexts built (allocation-analysis cache
-    /// misses).
-    pub alloc_ctx_builds: u64,
-    /// Allocation-context requests served from the cache.
-    pub alloc_ctx_hits: u64,
-    /// Register allocations run through the pipeline (every budget-
-    /// escalation attempt of every design point counts one).
-    pub allocs_run: u64,
-    /// Spill sub-stacks re-homed to shared memory with the
-    /// warp-interleaved layout, summed over winning allocations.
-    pub shm_warp_interleaved: u64,
-    /// Spill sub-stacks re-homed with the per-thread contiguous
-    /// layout, summed over winning allocations.
-    pub shm_per_thread: u64,
-    /// Requests served from the attached persistent store (disk
-    /// records written by an earlier process or run); 0 when no store
-    /// is attached.
-    pub store_hits: u64,
-    /// Store lookups that found no usable record.
-    pub store_misses: u64,
-    /// Records written to the persistent store.
-    pub store_writes: u64,
-    /// Records evicted by the store's byte budget.
-    pub store_evictions: u64,
-    /// On-disk records that failed validation and were quarantined
-    /// (then recomputed on demand).
-    pub store_quarantined: u64,
-    /// Store writes that failed at the filesystem (persistence lost,
-    /// run unaffected).
-    pub store_write_errors: u64,
-    /// Per-strategy roster counters, indexed by
-    /// [`StrategyKind::index`](crat_regalloc::StrategyKind::index).
-    pub strategies: [StrategyStats; 4],
+/// One declared counter of a stats struct `S`: an entry of
+/// [`EngineStats::COUNTERS`] or [`StrategyStats::COUNTERS`]. The
+/// metrics JSON, the `--csv` block and the one-line report are all
+/// derived from these tables (see [`crate::metrics`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Counter<S> {
+    /// The field name, which is also the counter's key in every sink.
+    pub name: &'static str,
+    /// The section of the one-line report the counter is listed in.
+    pub group: &'static str,
+    /// How the sinks render it.
+    pub render: Render,
+    /// Read the counter from a snapshot.
+    pub get: fn(&S) -> u64,
+}
+
+/// Declare a stats struct whose `u64` fields are counters: one entry
+/// per counter (doc comment, `name: "group", Render;`), expanded to the
+/// public field and to the struct's `COUNTERS` table. Fields after
+/// `extra` are plain fields that the table does not list.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $( $(#[$doc:meta])* $name:ident: $group:literal, $render:ident; )*
+        }
+        $( extra { $( $(#[$xdoc:meta])* $xname:ident: $xty:ty, )* } )?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $ty {
+            $( $(#[$doc])* pub $name: u64, )*
+            $( $( $(#[$xdoc])* pub $xname: $xty, )* )?
+        }
+
+        impl $ty {
+            /// Every counter of the struct, in declaration order.
+            pub(crate) const COUNTERS: &'static [Counter<$ty>] = &[
+                $( Counter {
+                    name: stringify!($name),
+                    group: $group,
+                    render: Render::$render,
+                    get: |s| s.$name,
+                }, )*
+            ];
+
+            /// A snapshot whose counters hold `first`, `first + 1`, ...
+            /// in declaration order (extra fields default).
+            #[cfg(test)]
+            pub(crate) fn numbered(first: u64) -> $ty {
+                let mut next = first..;
+                $ty {
+                    $( $name: next.next().unwrap_or_default(), )*
+                    $( $( $xname: Default::default(), )* )?
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Per-strategy allocation counters, indexed by
+    /// [`StrategyKind::index`](crat_regalloc::StrategyKind::index) in
+    /// [`EngineStats::strategies`]. These track the design-point roster
+    /// sweep only — the default-allocation ladder (OptTLP profiling and
+    /// the MaxTlp/OptTlp baselines) does not attribute its allocations to
+    /// a strategy.
+    pub struct StrategyStats {
+        /// Design points at which this strategy was attempted.
+        attempts: "strategy", NonZero;
+        /// Design points this strategy's allocation won.
+        wins: "strategy", NonZero;
+        /// Spill bytes (local per thread + shared per block) summed over
+        /// winning allocations.
+        spill_bytes: "strategy", NonZero;
+        /// Allocation-context cache hits attributed to this strategy.
+        ctx_reuse: "strategy", NonZero;
+    }
+}
+
+counters! {
+    /// A snapshot of the engine's counters. This declaration is the
+    /// counters' only list: each sink iterates `EngineStats::COUNTERS`.
+    pub struct EngineStats {
+        /// Simulations actually executed (cache misses).
+        sims_executed: "sim", Always;
+        /// Requests served from the memo cache, including requests that
+        /// waited for an in-flight simulation of the same key.
+        cache_hits: "sim", Always;
+        /// Nanoseconds of wall time spent inside the simulator, summed
+        /// over workers (exceeds elapsed time when running in parallel).
+        sim_nanos: "sim", Timing;
+        /// Kernels lowered to decoded form (decoded-cache misses).
+        decodes: "sim", Always;
+        /// Cycles simulated, summed over executed simulations.
+        sim_cycles: "sim", NonZero;
+        /// Warp instructions executed, summed over executed simulations.
+        sim_insts: "sim", NonZero;
+        /// Warp instructions issued through the whole-row vector kernels,
+        /// summed over executed simulations (see
+        /// [`VectorStats`](crat_sim::VectorStats)).
+        sim_vector_insts: "sim", NonZero;
+        /// Warp instructions that took the scalar per-lane fallback (SFU
+        /// transcendentals / div / rem, gather-scatter memory), summed
+        /// over executed simulations.
+        sim_scalar_insts: "sim", NonZero;
+        /// Superblocks dispatched (maximal same-class decoded runs,
+        /// counted at their head), summed over executed simulations.
+        sim_superblocks: "sim", NonZero;
+        /// Worker panics caught and converted to [`CratError::Internal`].
+        panics_caught: "stopped", NonZero;
+        /// Jobs stopped by an [`EvalBudget`] limit (cycle override hit or
+        /// deadline expired). Pruning bounds do not count here.
+        budget_exceeded: "stopped", NonZero;
+        /// Simulations stopped at a bound-and-prune bound
+        /// ([`EvalBudget::prune_above`]): sweep levels that could no longer
+        /// win. A subset of `sims_executed`; replays from the memo cache or
+        /// the store do not count.
+        sims_pruned: "stopped", NonZero;
+        /// Shared allocation contexts built (allocation-analysis cache
+        /// misses).
+        alloc_ctx_builds: "alloc", NonZero;
+        /// Allocation-context requests served from the cache.
+        alloc_ctx_hits: "alloc", NonZero;
+        /// Register allocations run through the pipeline (every budget-
+        /// escalation attempt of every design point counts one).
+        allocs_run: "alloc", NonZero;
+        /// Spill sub-stacks re-homed to shared memory with the
+        /// warp-interleaved layout, summed over winning allocations.
+        shm_warp_interleaved: "alloc", NonZero;
+        /// Spill sub-stacks re-homed with the per-thread contiguous
+        /// layout, summed over winning allocations.
+        shm_per_thread: "alloc", NonZero;
+        /// Requests served from the attached persistent store (disk
+        /// records written by an earlier process or run); 0 when no store
+        /// is attached.
+        store_hits: "store", NonZero;
+        /// Store lookups that found no usable record.
+        store_misses: "store", NonZero;
+        /// Records written to the persistent store.
+        store_writes: "store", NonZero;
+        /// Records evicted by the store's byte budget.
+        store_evictions: "store", NonZero;
+        /// On-disk records that failed validation and were quarantined
+        /// (then recomputed on demand).
+        store_quarantined: "store", NonZero;
+        /// Store writes that failed at the filesystem (persistence lost,
+        /// run unaffected).
+        store_write_errors: "store", NonZero;
+    }
+    extra {
+        /// Per-strategy roster counters, indexed by
+        /// [`StrategyKind::index`](crat_regalloc::StrategyKind::index).
+        strategies: [StrategyStats; 4],
+    }
 }
 
 impl EngineStats {
@@ -396,23 +475,6 @@ impl EngineStats {
             0.0
         } else {
             (self.cache_hits + self.store_hits) as f64 / total as f64
-        }
-    }
-
-    /// Persistent-store lookups (disk hits + misses); 0 when no store
-    /// is attached.
-    pub fn store_lookups(&self) -> u64 {
-        self.store_hits + self.store_misses
-    }
-
-    /// Fraction of store lookups served from disk; 0 when idle or
-    /// when no store is attached (guarded against divide-by-zero).
-    pub fn store_hit_rate(&self) -> f64 {
-        let total = self.store_lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.store_hits as f64 / total as f64
         }
     }
 
@@ -467,51 +529,10 @@ pub struct EvalEngine {
     decoded: Mutex<HashMap<SimKey, Arc<DecodedKernel>>>,
     alloc_ctx: Mutex<HashMap<SimKey, Arc<AllocContext>>>,
     store: Mutex<Option<Arc<ResultStore>>>,
-    sims_executed: AtomicU64,
-    cache_hits: AtomicU64,
-    sim_nanos: AtomicU64,
-    decodes: AtomicU64,
-    sim_cycles: AtomicU64,
-    sim_insts: AtomicU64,
-    sim_vector_insts: AtomicU64,
-    sim_scalar_insts: AtomicU64,
-    sim_superblocks: AtomicU64,
-    panics_caught: AtomicU64,
-    budget_exceeded: AtomicU64,
-    sims_pruned: AtomicU64,
-    alloc_ctx_builds: AtomicU64,
-    alloc_ctx_hits: AtomicU64,
-    allocs_run: AtomicU64,
-    shm_warp_interleaved: AtomicU64,
-    shm_per_thread: AtomicU64,
-    strategies: [StrategyCells; 4],
-}
-
-/// Atomic backing for one strategy's [`StrategyStats`].
-#[derive(Debug, Default)]
-struct StrategyCells {
-    attempts: AtomicU64,
-    wins: AtomicU64,
-    spill_bytes: AtomicU64,
-    ctx_reuse: AtomicU64,
-}
-
-impl StrategyCells {
-    fn snapshot(&self) -> StrategyStats {
-        StrategyStats {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            wins: self.wins.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            ctx_reuse: self.ctx_reuse.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.attempts.store(0, Ordering::Relaxed);
-        self.wins.store(0, Ordering::Relaxed);
-        self.spill_bytes.store(0, Ordering::Relaxed);
-        self.ctx_reuse.store(0, Ordering::Relaxed);
-    }
+    /// The counters; the store's own counters are laid over them in
+    /// [`stats`](EvalEngine::stats). Bumped a handful of times per
+    /// simulation or allocation, so the lock is uncontended.
+    counters: Mutex<EngineStats>,
 }
 
 impl EvalEngine {
@@ -529,24 +550,7 @@ impl EvalEngine {
             decoded: Mutex::new(HashMap::new()),
             alloc_ctx: Mutex::new(HashMap::new()),
             store: Mutex::new(None),
-            sims_executed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            sim_nanos: AtomicU64::new(0),
-            decodes: AtomicU64::new(0),
-            sim_cycles: AtomicU64::new(0),
-            sim_insts: AtomicU64::new(0),
-            sim_vector_insts: AtomicU64::new(0),
-            sim_scalar_insts: AtomicU64::new(0),
-            sim_superblocks: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            budget_exceeded: AtomicU64::new(0),
-            sims_pruned: AtomicU64::new(0),
-            alloc_ctx_builds: AtomicU64::new(0),
-            alloc_ctx_hits: AtomicU64::new(0),
-            allocs_run: AtomicU64::new(0),
-            shm_warp_interleaved: AtomicU64::new(0),
-            shm_per_thread: AtomicU64::new(0),
-            strategies: std::array::from_fn(|_| StrategyCells::default()),
+            counters: Mutex::new(EngineStats::default()),
         }
     }
 
@@ -588,33 +592,17 @@ impl EvalEngine {
 
     /// A snapshot of the engine's counters.
     pub fn stats(&self) -> EngineStats {
-        let store = self.store().map(|s| s.stats()).unwrap_or_default();
-        EngineStats {
-            store_hits: store.hits,
-            store_misses: store.misses,
-            store_writes: store.writes,
-            store_evictions: store.evictions,
-            store_quarantined: store.quarantined,
-            store_write_errors: store.write_errors,
-            sims_executed: self.sims_executed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            decodes: self.decodes.load(Ordering::Relaxed),
-            sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
-            sim_insts: self.sim_insts.load(Ordering::Relaxed),
-            sim_vector_insts: self.sim_vector_insts.load(Ordering::Relaxed),
-            sim_scalar_insts: self.sim_scalar_insts.load(Ordering::Relaxed),
-            sim_superblocks: self.sim_superblocks.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            budget_exceeded: self.budget_exceeded.load(Ordering::Relaxed),
-            sims_pruned: self.sims_pruned.load(Ordering::Relaxed),
-            alloc_ctx_builds: self.alloc_ctx_builds.load(Ordering::Relaxed),
-            alloc_ctx_hits: self.alloc_ctx_hits.load(Ordering::Relaxed),
-            allocs_run: self.allocs_run.load(Ordering::Relaxed),
-            shm_warp_interleaved: self.shm_warp_interleaved.load(Ordering::Relaxed),
-            shm_per_thread: self.shm_per_thread.load(Ordering::Relaxed),
-            strategies: std::array::from_fn(|i| self.strategies[i].snapshot()),
+        let mut stats = *lock(&self.counters);
+        if let Some(store) = self.store() {
+            let s = store.stats();
+            stats.store_hits = s.hits;
+            stats.store_misses = s.misses;
+            stats.store_writes = s.writes;
+            stats.store_evictions = s.evictions;
+            stats.store_quarantined = s.quarantined;
+            stats.store_write_errors = s.write_errors;
         }
+        stats
     }
 
     /// Number of distinct operating points cached so far.
@@ -643,26 +631,7 @@ impl EvalEngine {
         lock(&self.cache).clear();
         lock(&self.decoded).clear();
         lock(&self.alloc_ctx).clear();
-        self.sims_executed.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.sim_nanos.store(0, Ordering::Relaxed);
-        self.decodes.store(0, Ordering::Relaxed);
-        self.sim_cycles.store(0, Ordering::Relaxed);
-        self.sim_insts.store(0, Ordering::Relaxed);
-        self.sim_vector_insts.store(0, Ordering::Relaxed);
-        self.sim_scalar_insts.store(0, Ordering::Relaxed);
-        self.sim_superblocks.store(0, Ordering::Relaxed);
-        self.panics_caught.store(0, Ordering::Relaxed);
-        self.budget_exceeded.store(0, Ordering::Relaxed);
-        self.sims_pruned.store(0, Ordering::Relaxed);
-        self.alloc_ctx_builds.store(0, Ordering::Relaxed);
-        self.alloc_ctx_hits.store(0, Ordering::Relaxed);
-        self.allocs_run.store(0, Ordering::Relaxed);
-        self.shm_warp_interleaved.store(0, Ordering::Relaxed);
-        self.shm_per_thread.store(0, Ordering::Relaxed);
-        for s in &self.strategies {
-            s.reset();
-        }
+        *lock(&self.counters) = EngineStats::default();
     }
 
     /// Fetch (or build) the shared allocation analysis for `kernel`,
@@ -684,7 +653,7 @@ impl EvalEngine {
     pub fn alloc_context_tracked(&self, kernel: &Kernel) -> (Arc<AllocContext>, bool) {
         let key = kernel_key(kernel);
         if let Some(ctx) = lock(&self.alloc_ctx).get(&key) {
-            self.alloc_ctx_hits.fetch_add(1, Ordering::Relaxed);
+            lock(&self.counters).alloc_ctx_hits += 1;
             return (ctx.clone(), true);
         }
         // Build outside the lock: analyses can take milliseconds on
@@ -693,11 +662,11 @@ impl EvalEngine {
         let mut cache = lock(&self.alloc_ctx);
         match cache.entry(key) {
             Entry::Occupied(e) => {
-                self.alloc_ctx_hits.fetch_add(1, Ordering::Relaxed);
+                lock(&self.counters).alloc_ctx_hits += 1;
                 (e.get().clone(), true)
             }
             Entry::Vacant(v) => {
-                self.alloc_ctx_builds.fetch_add(1, Ordering::Relaxed);
+                lock(&self.counters).alloc_ctx_builds += 1;
                 (v.insert(ctx).clone(), false)
             }
         }
@@ -707,41 +676,34 @@ impl EvalEngine {
     /// once per allocator invocation, including each budget-escalation
     /// attempt).
     pub fn count_allocs(&self, n: u64) {
-        self.allocs_run.fetch_add(n, Ordering::Relaxed);
+        lock(&self.counters).allocs_run += n;
     }
 
     /// Record that `kind` was attempted at a design point.
     pub fn count_strategy_attempt(&self, kind: StrategyKind) {
-        self.strategies[kind.index()]
-            .attempts
-            .fetch_add(1, Ordering::Relaxed);
+        lock(&self.counters).strategies[kind.index()].attempts += 1;
     }
 
     /// Record that `kind` won a design point with an allocation
     /// spilling `spill_bytes` (local per thread + shared per block).
     pub fn count_strategy_win(&self, kind: StrategyKind, spill_bytes: u64) {
-        let cells = &self.strategies[kind.index()];
-        cells.wins.fetch_add(1, Ordering::Relaxed);
-        cells.spill_bytes.fetch_add(spill_bytes, Ordering::Relaxed);
+        let mut counters = lock(&self.counters);
+        let cells = &mut counters.strategies[kind.index()];
+        cells.wins += 1;
+        cells.spill_bytes += spill_bytes;
     }
 
     /// Record the shared-memory layouts of a winning allocation's
     /// re-homed sub-stacks.
     pub fn count_shm_layouts(&self, warp_interleaved: u64, per_thread: u64) {
-        if warp_interleaved > 0 {
-            self.shm_warp_interleaved
-                .fetch_add(warp_interleaved, Ordering::Relaxed);
-        }
-        if per_thread > 0 {
-            self.shm_per_thread.fetch_add(per_thread, Ordering::Relaxed);
-        }
+        let mut counters = lock(&self.counters);
+        counters.shm_warp_interleaved += warp_interleaved;
+        counters.shm_per_thread += per_thread;
     }
 
     /// Record an allocation-context cache hit attributed to `kind`.
     pub fn count_strategy_ctx_reuse(&self, kind: StrategyKind) {
-        self.strategies[kind.index()]
-            .ctx_reuse
-            .fetch_add(1, Ordering::Relaxed);
+        lock(&self.counters).strategies[kind.index()].ctx_reuse += 1;
     }
 
     /// Lower `kernel` through the decoded-kernel cache: the first call
@@ -765,7 +727,7 @@ impl EvalEngine {
         match cache.entry(key) {
             Entry::Occupied(e) => Ok(e.get().clone()),
             Entry::Vacant(v) => {
-                self.decodes.fetch_add(1, Ordering::Relaxed);
+                lock(&self.counters).decodes += 1;
                 Ok(v.insert(dk).clone())
             }
         }
@@ -848,7 +810,7 @@ impl EvalEngine {
             }
         };
         if !owner {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            lock(&self.counters).cache_hits += 1;
             return slot.wait().clone();
         }
         // Owner path: consult the persistent store before simulating.
@@ -876,22 +838,10 @@ impl EvalEngine {
             })
         }));
         let nanos = started.elapsed().as_nanos() as u64;
-        self.sims_executed.fetch_add(1, Ordering::Relaxed);
-        self.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let result: Result<SimStats, CratError> = match caught {
-            Ok(r) => r
-                .map(|(s, v)| {
-                    self.sim_vector_insts
-                        .fetch_add(v.vector_insts, Ordering::Relaxed);
-                    self.sim_scalar_insts
-                        .fetch_add(v.scalar_insts, Ordering::Relaxed);
-                    self.sim_superblocks
-                        .fetch_add(v.superblocks, Ordering::Relaxed);
-                    s
-                })
-                .map_err(CratError::Sim),
-            Err(payload) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
+        let (result, vstats) = match caught {
+            Ok(Ok((s, v))) => (Ok(s), v),
+            Ok(Err(e)) => (Err(CratError::Sim(e)), VectorStats::default()),
+            Err(payload) => (
                 Err(CratError::Internal {
                     job: format!(
                         "sim job (kernel `{}`, gpu `{}`, grid {}, block {}, regs {}, tlp {:?})",
@@ -903,32 +853,45 @@ impl EvalEngine {
                         tlp_cap,
                     ),
                     payload: payload_string(payload.as_ref()),
-                })
-            }
+                }),
+                VectorStats::default(),
+            ),
         };
-        if let Ok(s) = &result {
-            self.sim_cycles.fetch_add(s.cycles, Ordering::Relaxed);
-            self.sim_insts.fetch_add(s.warp_insts, Ordering::Relaxed);
-        }
-        // Decide whether this outcome may stay memoized (module docs).
-        let evict = match &result {
-            Err(CratError::Internal { .. }) => true,
-            Err(CratError::Sim(SimError::DeadlineExceeded { .. })) => {
-                self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                true
+        // Count the run, and decide whether its outcome may stay
+        // memoized (module docs).
+        let evict = {
+            let mut c = lock(&self.counters);
+            c.sims_executed += 1;
+            c.sim_nanos += nanos;
+            c.sim_vector_insts += vstats.vector_insts;
+            c.sim_scalar_insts += vstats.scalar_insts;
+            c.sim_superblocks += vstats.superblocks;
+            match &result {
+                Ok(s) => {
+                    c.sim_cycles += s.cycles;
+                    c.sim_insts += s.warp_insts;
+                    false
+                }
+                Err(CratError::Internal { .. }) => {
+                    c.panics_caught += 1;
+                    true
+                }
+                Err(CratError::Sim(SimError::DeadlineExceeded { .. })) => {
+                    c.budget_exceeded += 1;
+                    true
+                }
+                Err(CratError::Sim(SimError::CycleLimit { .. }))
+                    if budget.max_cycles_override.is_some() =>
+                {
+                    if budget.prune {
+                        c.sims_pruned += 1;
+                    } else {
+                        c.budget_exceeded += 1;
+                    }
+                    false
+                }
+                _ => false,
             }
-            Err(CratError::Sim(SimError::CycleLimit { .. }))
-                if budget.max_cycles_override.is_some() =>
-            {
-                let counter = if budget.prune {
-                    &self.sims_pruned
-                } else {
-                    &self.budget_exceeded
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            _ => false,
         };
         // Fill the slot first so concurrent waiters always unblock,
         // then drop the entry for non-memoizable outcomes. New
@@ -1010,7 +973,7 @@ impl EvalEngine {
                 match w.join() {
                     Ok(part) => indexed.extend(part),
                     Err(payload) => {
-                        self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                        lock(&self.counters).panics_caught += 1;
                         first_panic.get_or_insert(payload);
                     }
                 }
@@ -1039,7 +1002,7 @@ impl EvalEngine {
             match std::panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
                 Ok(r) => Ok(r),
                 Err(payload) => {
-                    self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                    lock(&self.counters).panics_caught += 1;
                     Err(CratError::Internal {
                         job: format!("batch item {i}"),
                         payload: payload_string(payload.as_ref()),
@@ -1426,20 +1389,89 @@ mod tests {
         assert_eq!(engine.cache_len(), 0);
     }
 
+    /// Every declared counter, engine-wide and per strategy, reaches
+    /// every sink by name and value (the metrics JSON leaves out only
+    /// the timing ones), and `reset()` zeroes it.
+    #[test]
+    fn every_counter_reaches_every_sink_and_resets() {
+        use crate::metrics::{engine_csv, engine_line, engine_to_json, Json};
+
+        let mut stats = EngineStats::numbered(1);
+        for kind in StrategyKind::ALL {
+            stats.strategies[kind.index()] =
+                StrategyStats::numbered(100 + 10 * kind.index() as u64);
+        }
+        let mut expected: Vec<(String, Render, u64, Option<&Json>)> = Vec::new();
+        let json = engine_to_json(&stats);
+        for c in EngineStats::COUNTERS {
+            expected.push((
+                c.name.to_string(),
+                c.render,
+                (c.get)(&stats),
+                json.get(c.name),
+            ));
+        }
+        for kind in StrategyKind::ALL {
+            let block = json.get("strategies").and_then(|s| s.get(kind.json_key()));
+            let cells = &stats.strategies[kind.index()];
+            for c in StrategyStats::COUNTERS {
+                let name = format!("strategy_{}_{}", kind.json_key(), c.name);
+                let in_json = block.and_then(|b| b.get(c.name));
+                expected.push((name, c.render, (c.get)(cells), in_json));
+            }
+        }
+        let values: std::collections::HashSet<u64> = expected.iter().map(|e| e.2).collect();
+        assert_eq!(values.len(), expected.len(), "values must be distinct");
+        assert!(!values.contains(&0), "values must be non-zero");
+
+        let csv = engine_csv(&stats, 3);
+        let line = engine_line(&stats, 3);
+        for (name, render, value, in_json) in &expected {
+            if *render == Render::Timing {
+                assert_eq!(*in_json, None, "{name} is wall time: not in the JSON");
+            } else {
+                assert_eq!(*in_json, Some(&Json::Int(*value)), "{name} in the JSON");
+            }
+            let row = format!("{name},{value}");
+            assert!(csv.lines().any(|l| l == row), "{row} missing from:\n{csv}");
+            let pair = format!("{name}={value}");
+            assert!(
+                line.split([' ', ';']).any(|t| t == pair),
+                "{pair} missing from: {line}"
+            );
+        }
+        assert_eq!(json.get("threads_independent"), Some(&Json::Bool(true)));
+        assert_eq!(json.get("requests"), Some(&Json::Int(stats.requests())));
+        assert!(!json.pretty().contains("nanos"));
+        assert!(csv.lines().any(|l| l == "threads,3"));
+        assert!(line.starts_with("engine: 3 threads,"), "{line}");
+
+        let engine = EvalEngine::serial();
+        *lock(&engine.counters) = stats;
+        assert_eq!(engine.stats(), stats);
+        engine.reset();
+        let after = engine.stats();
+        for c in EngineStats::COUNTERS {
+            assert_eq!((c.get)(&after), 0, "reset must zero {}", c.name);
+        }
+        for cells in &after.strategies {
+            for c in StrategyStats::COUNTERS {
+                assert_eq!((c.get)(cells), 0, "reset must zero {}", c.name);
+            }
+        }
+    }
+
     #[test]
     fn hit_rates_are_guarded_on_fresh_and_reset_engines() {
-        // Satellite 1: a freshly-reset engine has zero requests, and
-        // both rates must read 0 instead of dividing by zero.
+        // A freshly-reset engine has zero requests, and the hit rate
+        // must read 0 instead of dividing by zero.
         let fresh = EngineStats::default();
         assert_eq!(fresh.requests(), 0);
         assert_eq!(fresh.hit_rate(), 0.0);
-        assert_eq!(fresh.store_lookups(), 0);
-        assert_eq!(fresh.store_hit_rate(), 0.0);
         let engine = EvalEngine::serial();
         engine.reset();
         let stats = engine.stats();
         assert_eq!(stats.hit_rate(), 0.0);
-        assert_eq!(stats.store_hit_rate(), 0.0);
         assert!(stats.hit_rate().is_finite());
     }
 
@@ -1477,7 +1509,6 @@ mod tests {
         assert_eq!((s.sims_executed, s.store_hits), (0, 1));
         assert_eq!(s.requests(), 1);
         assert_eq!(s.hit_rate(), 1.0);
-        assert_eq!(s.store_hit_rate(), 1.0);
 
         // reset() zeroes the store counters but keeps the store
         // attached and its records on disk.

@@ -58,7 +58,8 @@ use std::fmt;
 pub use design_space::{prune, staircase, DesignPoint, ALLOC_FLOOR};
 pub use engine::{EngineStats, EvalBudget, EvalEngine, SimJob, StrategyStats};
 pub use metrics::{
-    engine_to_json, metrics_document, stats_from_json, stats_to_json, Json, MetricsPoint,
+    engine_csv, engine_line, engine_to_json, metrics_document, stats_from_json, stats_to_json,
+    Json, MetricsPoint,
 };
 pub use pipeline::{
     optimize, optimize_oracle, optimize_oracle_with, optimize_with, AllocStrategy, Candidate,
@@ -70,8 +71,7 @@ pub use segments::{segment_kernel, Segment};
 pub use static_tlp::estimate_opt_tlp;
 pub use store::{parse_byte_limit, RecordKey, ResultStore, StoreConfig, StoreStats};
 pub use techniques::{
-    evaluate, evaluate_with, evaluate_with_options, evaluate_with_roster, Evaluation, Technique,
-    STATIC_L1_HIT_RATE,
+    evaluate, evaluate_with, evaluate_with_options, Evaluation, Technique, STATIC_L1_HIT_RATE,
 };
 pub use tpsc::{tlp_gain, tpsc};
 

@@ -18,7 +18,9 @@ use std::fmt::Write as _;
 
 use crat_sim::{SimStats, StallCause, NUM_CAUSES};
 
-use crate::engine::EngineStats;
+use crat_regalloc::StrategyKind;
+
+use crate::engine::{Counter, EngineStats, Render, StrategyStats};
 
 /// A JSON value. Objects keep insertion order (and the parser keeps
 /// document order), so emitted documents are deterministic.
@@ -548,88 +550,93 @@ pub fn stats_from_json(json: &Json) -> Result<SimStats, String> {
     Ok(stats)
 }
 
+/// Every engine counter with its value, in declaration order: the
+/// [`EngineStats::COUNTERS`] table, then each strategy's
+/// [`StrategyStats::COUNTERS`] keyed `strategy_<key>_<field>`. The
+/// `--csv` block and the one-line report both list exactly these.
+fn flat_counters(stats: &EngineStats) -> Vec<(String, &'static str, Render, u64)> {
+    let mut out: Vec<_> = EngineStats::COUNTERS
+        .iter()
+        .map(|c| (c.name.to_string(), c.group, c.render, (c.get)(stats)))
+        .collect();
+    for kind in StrategyKind::ALL {
+        let s = &stats.strategies[kind.index()];
+        out.extend(StrategyStats::COUNTERS.iter().map(|c| {
+            let name = format!("strategy_{}_{}", kind.json_key(), c.name);
+            (name, c.group, c.render, (c.get)(s))
+        }));
+    }
+    out
+}
+
+/// The deterministic counters of `stats` as JSON fields: every entry
+/// of `counters` except [`Render::Timing`] ones.
+fn counter_fields<S>(counters: &[Counter<S>], stats: &S) -> Vec<(String, Json)> {
+    counters
+        .iter()
+        .filter(|c| c.render != Render::Timing)
+        .map(|c| (c.name.to_string(), Json::Int((c.get)(stats))))
+        .collect()
+}
+
 /// Serialize the deterministic subset of [`EngineStats`]: wall-time
-/// fields are excluded so the document is stable across thread counts.
+/// counters are excluded so the document is stable across thread
+/// counts.
 pub fn engine_to_json(stats: &EngineStats) -> Json {
-    Json::Obj(vec![
-        ("threads_independent".to_string(), Json::Bool(true)),
-        ("sims_executed".to_string(), Json::Int(stats.sims_executed)),
-        ("cache_hits".to_string(), Json::Int(stats.cache_hits)),
-        ("requests".to_string(), Json::Int(stats.requests())),
-        ("decodes".to_string(), Json::Int(stats.decodes)),
-        ("sim_cycles".to_string(), Json::Int(stats.sim_cycles)),
-        ("sim_insts".to_string(), Json::Int(stats.sim_insts)),
-        (
-            "sim_vector_insts".to_string(),
-            Json::Int(stats.sim_vector_insts),
-        ),
-        (
-            "sim_scalar_insts".to_string(),
-            Json::Int(stats.sim_scalar_insts),
-        ),
-        (
-            "sim_superblocks".to_string(),
-            Json::Int(stats.sim_superblocks),
-        ),
-        ("panics_caught".to_string(), Json::Int(stats.panics_caught)),
-        (
-            "budget_exceeded".to_string(),
-            Json::Int(stats.budget_exceeded),
-        ),
-        ("sims_pruned".to_string(), Json::Int(stats.sims_pruned)),
-        (
-            "alloc_ctx_builds".to_string(),
-            Json::Int(stats.alloc_ctx_builds),
-        ),
-        (
-            "alloc_ctx_hits".to_string(),
-            Json::Int(stats.alloc_ctx_hits),
-        ),
-        ("allocs_run".to_string(), Json::Int(stats.allocs_run)),
-        (
-            "shm_warp_interleaved".to_string(),
-            Json::Int(stats.shm_warp_interleaved),
-        ),
-        (
-            "shm_per_thread".to_string(),
-            Json::Int(stats.shm_per_thread),
-        ),
-        ("store_hits".to_string(), Json::Int(stats.store_hits)),
-        ("store_misses".to_string(), Json::Int(stats.store_misses)),
-        ("store_writes".to_string(), Json::Int(stats.store_writes)),
-        (
-            "store_evictions".to_string(),
-            Json::Int(stats.store_evictions),
-        ),
-        (
-            "store_quarantined".to_string(),
-            Json::Int(stats.store_quarantined),
-        ),
-        (
-            "store_write_errors".to_string(),
-            Json::Int(stats.store_write_errors),
-        ),
-        (
-            "strategies".to_string(),
-            Json::Obj(
-                crat_regalloc::StrategyKind::ALL
-                    .iter()
-                    .map(|kind| {
-                        let s = stats.strategies[kind.index()];
-                        (
-                            kind.json_key().to_string(),
-                            Json::Obj(vec![
-                                ("attempts".to_string(), Json::Int(s.attempts)),
-                                ("wins".to_string(), Json::Int(s.wins)),
-                                ("spill_bytes".to_string(), Json::Int(s.spill_bytes)),
-                                ("ctx_reuse".to_string(), Json::Int(s.ctx_reuse)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let mut fields = vec![("threads_independent".to_string(), Json::Bool(true))];
+    fields.extend(counter_fields(EngineStats::COUNTERS, stats));
+    fields.push(("requests".to_string(), Json::Int(stats.requests())));
+    let strategies = StrategyKind::ALL
+        .iter()
+        .map(|kind| {
+            let s = &stats.strategies[kind.index()];
+            let block = counter_fields(StrategyStats::COUNTERS, s);
+            (kind.json_key().to_string(), Json::Obj(block))
+        })
+        .collect();
+    fields.push(("strategies".to_string(), Json::Obj(strategies)));
+    Json::Obj(fields)
+}
+
+/// The `engine_stat,value` CSV block (with its header line): every
+/// counter, then the pool width and the derived time and rates.
+pub fn engine_csv(stats: &EngineStats, threads: usize) -> String {
+    let mut out = String::from("engine_stat,value\n");
+    for (name, _, _, value) in flat_counters(stats) {
+        let _ = writeln!(out, "{name},{value}");
+    }
+    let _ = writeln!(out, "threads,{threads}");
+    let _ = writeln!(out, "sim_seconds,{:.3}", stats.sim_time().as_secs_f64());
+    let _ = writeln!(out, "sim_insts_per_sec,{:.0}", stats.sim_insts_per_sec());
+    let _ = writeln!(out, "vector_fraction,{:.4}", stats.vector_fraction());
+    let _ = writeln!(out, "hit_rate,{:.4}", stats.hit_rate());
+    out
+}
+
+/// The one-line engine report (the CLI's `engine:` line and the
+/// experiment binaries' `# engine:` comment): the pool width and the
+/// derived rates, then `name=value` for each counter that is always
+/// shown or non-zero, listed under its group.
+pub fn engine_line(stats: &EngineStats, threads: usize) -> String {
+    let mut line = format!(
+        "engine: {threads} threads, {:.2}s simulating ({:.2}M instr/s, {:.0}% vector, {:.0}% hit rate)",
+        stats.sim_time().as_secs_f64(),
+        stats.sim_insts_per_sec() / 1e6,
+        stats.vector_fraction() * 100.0,
+        stats.hit_rate() * 100.0,
+    );
+    let mut group = "";
+    for (name, counter_group, render, value) in flat_counters(stats) {
+        if render != Render::Always && value == 0 {
+            continue;
+        }
+        if counter_group != group {
+            group = counter_group;
+            let _ = write!(line, "; {group}:");
+        }
+        let _ = write!(line, " {name}={value}");
+    }
+    line
 }
 
 /// One evaluated operating point for a metrics document.
@@ -719,72 +726,6 @@ mod tests {
     fn missing_fields_are_named() {
         let err = stats_from_json(&Json::Obj(vec![])).unwrap_err();
         assert!(err.contains("cycles"), "{err}");
-    }
-
-    #[test]
-    fn engine_export_omits_wall_time() {
-        let mut stats = EngineStats {
-            sims_executed: 3,
-            cache_hits: 5,
-            sim_nanos: 123_456,
-            decodes: 1,
-            sim_cycles: 1000,
-            sim_insts: 2000,
-            sim_vector_insts: 1800,
-            sim_scalar_insts: 150,
-            sim_superblocks: 90,
-            panics_caught: 1,
-            budget_exceeded: 2,
-            sims_pruned: 8,
-            alloc_ctx_builds: 4,
-            alloc_ctx_hits: 9,
-            allocs_run: 13,
-            store_misses: 6,
-            store_writes: 11,
-            store_quarantined: 4,
-            ..EngineStats::default()
-        };
-        stats.strategies[crat_regalloc::StrategyKind::Ssa.index()] = crate::StrategyStats {
-            attempts: 7,
-            wins: 2,
-            spill_bytes: 640,
-            ctx_reuse: 5,
-        };
-        let json = engine_to_json(&stats);
-        assert!(json.get("sim_nanos").is_none());
-        assert_eq!(json.get("requests"), Some(&Json::Int(8)));
-        assert_eq!(json.get("sim_vector_insts"), Some(&Json::Int(1800)));
-        assert_eq!(json.get("sim_scalar_insts"), Some(&Json::Int(150)));
-        assert_eq!(json.get("sim_superblocks"), Some(&Json::Int(90)));
-        assert_eq!(json.get("panics_caught"), Some(&Json::Int(1)));
-        assert_eq!(json.get("budget_exceeded"), Some(&Json::Int(2)));
-        assert_eq!(json.get("sims_pruned"), Some(&Json::Int(8)));
-        assert_eq!(json.get("alloc_ctx_builds"), Some(&Json::Int(4)));
-        assert_eq!(json.get("alloc_ctx_hits"), Some(&Json::Int(9)));
-        assert_eq!(json.get("allocs_run"), Some(&Json::Int(13)));
-        assert_eq!(json.get("shm_warp_interleaved"), Some(&Json::Int(0)));
-        assert_eq!(json.get("shm_per_thread"), Some(&Json::Int(0)));
-        assert_eq!(json.get("store_hits"), Some(&Json::Int(0)));
-        assert_eq!(json.get("store_misses"), Some(&Json::Int(6)));
-        assert_eq!(json.get("store_writes"), Some(&Json::Int(11)));
-        assert_eq!(json.get("store_evictions"), Some(&Json::Int(0)));
-        assert_eq!(json.get("store_quarantined"), Some(&Json::Int(4)));
-        assert_eq!(json.get("store_write_errors"), Some(&Json::Int(0)));
-        let ssa = json
-            .get("strategies")
-            .and_then(|s| s.get("ssa"))
-            .expect("per-strategy block");
-        assert_eq!(ssa.get("attempts"), Some(&Json::Int(7)));
-        assert_eq!(ssa.get("wins"), Some(&Json::Int(2)));
-        assert_eq!(ssa.get("spill_bytes"), Some(&Json::Int(640)));
-        assert_eq!(ssa.get("ctx_reuse"), Some(&Json::Int(5)));
-        let briggs = json
-            .get("strategies")
-            .and_then(|s| s.get("sched_briggs"))
-            .expect("label is json-friendly");
-        assert_eq!(briggs.get("attempts"), Some(&Json::Int(0)));
-        let text = json.pretty();
-        assert!(!text.contains("nanos"), "{text}");
     }
 
     #[test]

@@ -11,9 +11,7 @@ use crat_sim::{
 
 use crate::design_space::ALLOC_FLOOR;
 use crate::engine::EvalEngine;
-use crate::pipeline::{
-    allocate_degraded, optimize_with, CratOptions, OptTlpSource, StrategyRoster,
-};
+use crate::pipeline::{allocate_degraded, optimize_with, CratOptions, OptTlpSource};
 use crate::profile_tlp::profile_opt_tlp_with;
 use crate::resource::analyze;
 use crate::CratError;
@@ -121,39 +119,10 @@ pub fn evaluate_with(
     launch: &LaunchConfig,
     technique: Technique,
 ) -> Result<Evaluation, CratError> {
-    evaluate_with_roster(
-        engine,
-        kernel,
-        gpu,
-        launch,
-        technique,
-        StrategyRoster::Default,
-    )
+    evaluate_with_options(engine, kernel, gpu, launch, technique, &CratOptions::new())
 }
 
-/// [`evaluate_with`] with an explicit allocator-strategy roster for the
-/// CRAT variants. `MaxTlp` and `OptTlp` use the default allocation path
-/// and ignore the roster.
-///
-/// # Errors
-///
-/// Propagates allocation and simulation failures.
-pub fn evaluate_with_roster(
-    engine: &EvalEngine,
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    technique: Technique,
-    roster: StrategyRoster,
-) -> Result<Evaluation, CratError> {
-    let base = CratOptions {
-        roster,
-        ..CratOptions::new()
-    };
-    evaluate_with_options(engine, kernel, gpu, launch, technique, &base)
-}
-
-/// [`evaluate_with_roster`] with a full base [`CratOptions`] for the
+/// [`evaluate_with`] with a full base [`CratOptions`] for the
 /// CRAT variants: the roster, spill-layout policy, and cost overrides
 /// come from `base`, while the technique still decides its own OptTLP
 /// source and whether shared-memory spilling runs at all (`CratLocal`

@@ -70,11 +70,7 @@ pub use config::{
 pub use decode::{decode, DecodedKernel, OpClass, NUM_OP_CLASSES};
 pub use energy::{estimate_energy, EnergyCoefficients, EnergyReport};
 pub use error::SimError;
-pub use machine::{
-    simulate, simulate_capture, simulate_decoded, simulate_decoded_capture,
-    simulate_decoded_deadline, simulate_decoded_profiled, simulate_decoded_traced, Lanes,
-    SchedDecision, SchedTrace,
-};
+pub use machine::{simulate, simulate_capture, simulate_decoded, simulate_decoded_profiled, Lanes};
 pub use memory::{shm_conflict_degree, MemorySystem};
 pub use occupancy::{max_regs_for_tlp, occupancy, LimitingResource, Occupancy};
 pub use stats::{CycleAttribution, SimStats, StallCause, VectorStats, NUM_CAUSES};

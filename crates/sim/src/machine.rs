@@ -63,77 +63,6 @@ const LOCAL_TIMING_BASE: u64 = 1 << 40;
 /// Sentinel warp slot for scheduler decisions that concern no warp.
 const NO_WARP: u32 = u32::MAX;
 
-/// One recorded scheduler decision (see [`simulate_decoded_traced`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedDecision {
-    /// Cycle at which the decision was made (the first cycle of a
-    /// fast-forwarded stall window).
-    pub cycle: u64,
-    /// Scheduler index.
-    pub scheduler: u32,
-    /// The exclusive cause attributed to the slot.
-    pub cause: StallCause,
-    /// Warp slot the decision concerned: the issuing warp, the
-    /// mem-stalled warp, or the highest-priority blocked candidate;
-    /// `u32::MAX` when no warp was involved.
-    pub warp_slot: u32,
-    /// Consecutive cycles the decision covers (> 1 when the cycle loop
-    /// fast-forwarded a whole-SM stall window).
-    pub cycles: u64,
-}
-
-/// A fixed-capacity ring buffer over the last N scheduler decisions,
-/// for debugging pathological schedules. Allocated once up front; the
-/// cycle loop writes into it without allocating.
-#[derive(Debug, Clone)]
-pub struct SchedTrace {
-    buf: Vec<SchedDecision>,
-    /// Index of the oldest entry once the buffer has wrapped.
-    head: usize,
-    total: u64,
-    cap: usize,
-}
-
-impl SchedTrace {
-    fn new(cap: usize) -> SchedTrace {
-        let cap = cap.max(1);
-        SchedTrace {
-            buf: Vec::with_capacity(cap),
-            head: 0,
-            total: 0,
-            cap,
-        }
-    }
-
-    fn push(&mut self, d: SchedDecision) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(d);
-        } else {
-            self.buf[self.head] = d;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    /// The ring's capacity (the N of "last N decisions").
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Decisions recorded over the whole run, including evicted ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
-    /// The retained decisions, oldest first.
-    pub fn decisions(&self) -> Vec<SchedDecision> {
-        let mut v = Vec::with_capacity(self.buf.len());
-        v.extend_from_slice(&self.buf[self.head..]);
-        v.extend_from_slice(&self.buf[..self.head]);
-        v
-    }
-}
-
 /// Simulate `kernel` under `launch` on `cfg`, optionally capping the
 /// resident blocks per SM at `tlp_cap` (thread throttling).
 ///
@@ -199,85 +128,37 @@ pub fn simulate_decoded(
 }
 
 /// [`simulate_capture`] over an already-decoded kernel.
-///
-/// # Errors
-///
-/// Same as [`simulate_decoded`].
-pub fn simulate_decoded_capture(
+fn simulate_decoded_capture(
     dk: &DecodedKernel,
     cfg: &GpuConfig,
     launch: &LaunchConfig,
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
 ) -> Result<(SimStats, HashMap<u64, u64>), SimError> {
-    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None, None)
-        .map(|(s, m, _, _)| (s, m))
+    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None).map(|(s, m, _)| (s, m))
 }
 
-/// [`simulate_decoded`] with a scheduler-decision trace: the last
-/// `trace_depth` decisions (one per scheduler per attributed window)
-/// are retained in a ring buffer for debugging.
+/// [`simulate_decoded`] with a cooperative wall-clock deadline, also
+/// returning the [`VectorStats`] execution-path counters (vectorized
+/// vs scalar-fallback instructions, superblocks, per-class issue
+/// counts).
 ///
-/// # Errors
-///
-/// Same as [`simulate_decoded`].
-pub fn simulate_decoded_traced(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-    trace_depth: usize,
-) -> Result<(SimStats, SchedTrace), SimError> {
-    simulate_decoded_inner(
-        dk,
-        cfg,
-        launch,
-        regs_per_thread,
-        tlp_cap,
-        Some(trace_depth),
-        None,
-    )
-    .map(|(s, _, t, _)| (s, t.expect("trace requested")))
-}
-
-/// [`simulate_decoded`] with a cooperative wall-clock deadline: the
-/// cycle loop periodically compares `Instant::now()` against
+/// The cycle loop periodically compares `Instant::now()` against
 /// `deadline` and, once it has passed, stops with
-/// [`SimError::DeadlineExceeded`] instead of running to completion.
-/// This is the cancellation hook the evaluation engine's per-job
-/// budgets use to bound runaway simulations.
+/// [`SimError::DeadlineExceeded`] instead of running to completion;
+/// this is the cancellation hook the evaluation engine's per-job
+/// budgets use. With `deadline: None` the checks are skipped, not
+/// merely disarmed, so results and timings of the healthy path are
+/// unchanged.
 ///
-/// With `deadline: None` this is exactly [`simulate_decoded`] (the
-/// checks are skipped, not merely disarmed), so results and timings of
-/// the healthy path are unchanged.
+/// The vector counters live outside [`SimStats`] so callers that pin
+/// stats bit-identically against the reference interpreter are
+/// unaffected; this is the entry point the evaluation engine and the
+/// throughput probe use to attribute vectorization coverage.
 ///
 /// # Errors
 ///
 /// Same as [`simulate_decoded`], plus [`SimError::DeadlineExceeded`].
-pub fn simulate_decoded_deadline(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-    deadline: Option<Instant>,
-) -> Result<SimStats, SimError> {
-    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None, deadline)
-        .map(|(s, _, _, _)| s)
-}
-
-/// [`simulate_decoded_deadline`] additionally returning the
-/// [`VectorStats`] execution-path counters (vectorized vs
-/// scalar-fallback instructions, superblocks, per-class issue counts).
-/// The counters live outside [`SimStats`] so callers that pin stats
-/// bit-identically against the reference interpreter are unaffected;
-/// this is the entry point the evaluation engine and the throughput
-/// probe use to attribute vectorization coverage.
-///
-/// # Errors
-///
-/// Same as [`simulate_decoded_deadline`].
 pub fn simulate_decoded_profiled(
     dk: &DecodedKernel,
     cfg: &GpuConfig,
@@ -286,11 +167,11 @@ pub fn simulate_decoded_profiled(
     tlp_cap: Option<u32>,
     deadline: Option<Instant>,
 ) -> Result<(SimStats, VectorStats), SimError> {
-    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None, deadline)
-        .map(|(s, _, _, v)| (s, v))
+    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, deadline)
+        .map(|(s, _, v)| (s, v))
 }
 
-type SimOutput = (SimStats, HashMap<u64, u64>, Option<SchedTrace>, VectorStats);
+type SimOutput = (SimStats, HashMap<u64, u64>, VectorStats);
 
 fn simulate_decoded_inner(
     dk: &DecodedKernel,
@@ -298,7 +179,6 @@ fn simulate_decoded_inner(
     launch: &LaunchConfig,
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
-    trace_depth: Option<usize>,
     deadline: Option<Instant>,
 ) -> Result<SimOutput, SimError> {
     crate::config::fault::fire_sim_panic();
@@ -334,14 +214,13 @@ fn simulate_decoded_inner(
     resident = resident.min(blocks_this_sm);
 
     let mut m = Machine::new(dk, cfg, launch, blocks_this_sm);
-    m.trace = trace_depth.map(SchedTrace::new);
     m.deadline = deadline;
     m.stats.resident_blocks = resident;
     for _ in 0..resident {
         m.launch_block()?;
     }
     m.run()?;
-    Ok((m.stats, m.global.into_map(), m.trace, m.vstats))
+    Ok((m.stats, m.global.into_map(), m.vstats))
 }
 
 /// Per-block runtime state. Retired contexts are pooled and reused so
@@ -580,8 +459,6 @@ struct Machine<'a> {
     /// busy windows — the events that would thaw another scheduler's
     /// "frozen" stall cause mid-burst.
     nonalu_issue: bool,
-    /// Optional ring buffer of recent scheduler decisions.
-    trace: Option<SchedTrace>,
     /// Cooperative cancellation: wall-clock deadline checked every
     /// [`DEADLINE_CHECK_INTERVAL`] loop iterations (and on the first).
     deadline: Option<Instant>,
@@ -662,7 +539,6 @@ impl<'a> Machine<'a> {
             shm_busy_until: vec![0; cfg.num_schedulers as usize],
             shm_busy_head: vec![NO_WARP; cfg.num_schedulers as usize],
             nonalu_issue: false,
-            trace: None,
             deadline: None,
             deadline_countdown: 0,
             stats: {
@@ -863,24 +739,9 @@ impl<'a> Machine<'a> {
     /// iteration into the attribution, weighted by the `n` cycles the
     /// iteration covers.
     fn commit_slots(&mut self, n: u64) {
-        self.commit_slots_at(n, self.now);
-    }
-
-    /// [`Machine::commit_slots`] with an explicit window-start cycle
-    /// for the trace (burst windows commit after `now` has advanced).
-    fn commit_slots_at(&mut self, n: u64, cycle: u64) {
         for s in 0..self.slot_causes.len() {
             let (cause, head) = self.slot_causes[s];
             self.stats.attribution.charge(s, cause, head, n);
-            if let Some(t) = &mut self.trace {
-                t.push(SchedDecision {
-                    cycle,
-                    scheduler: s as u32,
-                    cause,
-                    warp_slot: head,
-                    cycles: n,
-                });
-            }
         }
     }
 
@@ -1041,7 +902,7 @@ impl<'a> Machine<'a> {
             self.stats.attribution.block_issued[bslot] += k;
             self.vstats.burst_windows += 1;
             self.vstats.burst_insts += k;
-            self.commit_slots_at(k, start);
+            self.commit_slots(k);
             self.burn_deadline_countdown(k + 1);
         }
         Ok(())
@@ -2816,32 +2677,6 @@ mod turnover_tests {
             "schedulers whose warps all arrived early must be seen waiting: {:?}",
             stats.attribution.per_scheduler
         );
-    }
-
-    /// The scheduler-decision trace retains only the last N decisions,
-    /// oldest first, and agrees with the attribution totals.
-    #[test]
-    fn sched_trace_keeps_last_n_decisions() {
-        let k = divergent_kernel();
-        let launch = LaunchConfig::new(12, 64)
-            .with_param("input", 0x100_0000)
-            .with_param("out", 0x200_0000);
-        let cfg = GpuConfig::fermi();
-        let dk = crate::decode::decode(&k).unwrap();
-        let depth = 64;
-        let (stats, trace) = simulate_decoded_traced(&dk, &cfg, &launch, 20, None, depth).unwrap();
-        stats.attribution.check(stats.cycles).unwrap();
-        assert_eq!(trace.capacity(), depth);
-        let decisions = trace.decisions();
-        assert!(decisions.len() <= depth);
-        assert!(trace.total_recorded() >= decisions.len() as u64);
-        // Oldest-first ordering: cycles never decrease.
-        for pair in decisions.windows(2) {
-            assert!(pair[0].cycle <= pair[1].cycle, "{pair:?}");
-        }
-        // The trace is a pure observer: stats must match an untraced run.
-        let (plain, _) = simulate_decoded_capture(&dk, &cfg, &launch, 20, None).unwrap();
-        assert_eq!(stats, plain);
     }
 }
 

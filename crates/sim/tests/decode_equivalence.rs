@@ -575,7 +575,7 @@ fn deadline_fires_promptly_under_large_calendar_jumps() {
     // An already-expired deadline: the very first countdown expiry must
     // cancel the run, no matter how far single iterations jump.
     let res =
-        crat_sim::simulate_decoded_deadline(&dk, &cfg, &launch, 24, Some(1), Some(Instant::now()));
+        crat_sim::simulate_decoded_profiled(&dk, &cfg, &launch, 24, Some(1), Some(Instant::now()));
     match res {
         Err(crat_sim::SimError::DeadlineExceeded { cycles }) => {
             // One check interval plus at most one stall-window jump —

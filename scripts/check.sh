@@ -23,8 +23,8 @@ echo "== cargo clippy --workspace -- -D warnings"
 # non-test code (DESIGN.md §7), so a stray unwrap fails this step.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test -q"
-cargo test -q
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
 # Engine tier: crat-core units, determinism, memo properties; the sweep equivalence check runs in release (24 apps, exhaustive oracle).
 echo "== engine tier (core units + determinism + sweep equivalence)"
